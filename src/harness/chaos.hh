@@ -26,8 +26,8 @@
  *     program materially below the no-ADORE baseline.
  *
  * Determinism: FaultPlan draws from per-channel streams seeded only by
- * ChaosSpec seeds, and the optimizer runs in barrier mode (bit-identical
- * to synchronous), so rerunning a spec reproduces identical metrics and
+ * ChaosSpec seeds, and the optimizer runs synchronously in the poll
+ * hook, so rerunning a spec reproduces identical metrics and
  * decision-event streams.  With freeRunning set the optimizer worker
  * runs concurrently with the interpreter instead: commit timing (and
  * therefore exact metrics) may vary between reruns, but every survival

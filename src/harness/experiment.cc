@@ -21,10 +21,11 @@ Experiment::defaultAdoreConfig()
     cfg.sampler.ssbSamples = 64;
     cfg.uebMultiplier = 16;
     cfg.pollPeriod = 64'000;
-    // The optimizer runs on its own thread behind the bounded sample
-    // queue; the barrier handshake keeps results bit-identical to the
-    // synchronous in-hook optimizer (tests/test_async_toggle.cc).
-    cfg.mode = OptimizerMode::AsyncBarrier;
+    // The poll body runs inline in the periodic hook.  AsyncBarrier is
+    // bit-identical (tests/test_async_toggle.cc) but pays two
+    // cross-thread wake-ups per poll; DESIGN.md §11 has the measured
+    // host cost.
+    cfg.mode = OptimizerMode::Synchronous;
     return cfg;
 }
 

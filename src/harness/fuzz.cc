@@ -84,10 +84,11 @@ buildArms(const FuzzSpec &spec, std::uint64_t seed)
     barrier.compareAdore = true;
     arms.push_back(barrier);
 
-    // 5: ADORE on the direct tier — tier toggle holds under ADORE too.
-    ArmDef adoreDirect{"adore_direct", barrier.cfg};
+    // 5: ADORE on the direct tier in the shipped Synchronous mode —
+    // tier toggle holds under ADORE too.
+    ArmDef adoreDirect{"adore_direct", sync.cfg};
     adoreDirect.cfg.machine.cpu.execTier = ExecTier::DirectThreaded;
-    adoreDirect.identityWith = 4;
+    adoreDirect.identityWith = 3;
     adoreDirect.compareAdore = true;
     arms.push_back(adoreDirect);
 

@@ -31,19 +31,6 @@ CacheHierarchy::clearStats()
 }
 
 void
-CacheHierarchy::flushAll()
-{
-    l1i_.flush();
-    l1d_.flush();
-    l2_.flush();
-    l3_.flush();
-    busFreeAt_ = 0;
-    ++generation_;
-    if (hwpf_)
-        hwpf_->resetState();
-}
-
-void
 CacheHierarchy::hwpfObserveDemand(Addr pc, Addr addr, Cycle now)
 {
     hwpf_->observeDemand(pc, addr);

@@ -330,15 +330,10 @@ class CacheHierarchy
     /**
      * Generation the Cpu's load line buffer keys on.  It moves with
      * every L1D state change (fill, eviction, readyAt acceleration,
-     * invalidate, flush — flushAll() additionally bumps the
-     * hierarchy-level component), so a buffer entry armed at generation
-     * G can be trusted wholesale while generation() still returns G.
+     * invalidate, flush), so a buffer entry armed at generation G can
+     * be trusted wholesale while generation() still returns G.
      */
-    std::uint64_t
-    generation() const
-    {
-        return generation_ + l1d_.generation();
-    }
+    std::uint64_t generation() const { return l1d_.generation(); }
 
     /**
      * Host-side prefetch of every level's set metadata for @p addr,
@@ -368,9 +363,6 @@ class CacheHierarchy
     const HierarchyConfig &config() const { return config_; }
 
     void clearStats();
-
-    /** Drop all cached lines (used between experiment runs). */
-    void flushAll();
 
     /**
      * Attach a fault plan (nullptr = none, the default).  A plan may
@@ -476,7 +468,6 @@ class CacheHierarchy
     Cache l2_;
     Cache l3_;
     Cycle busFreeAt_ = 0;
-    std::uint64_t generation_ = 0;
     fault::FaultPlan *faults_ = nullptr;  ///< not owned; may be null
     /** Dedup for back-to-back lfetches: keyed on L2 line number. */
     std::array<InFlightMemo, 8> prefetchMshr_{};

@@ -42,19 +42,6 @@ HwPrefetchEngine::HwPrefetchEngine(const HwPrefetchConfig &config,
 }
 
 void
-HwPrefetchEngine::resetState()
-{
-    std::fill(rpt_.begin(), rpt_.end(), StrideEntry());
-    std::fill(dhb_.begin(), dhb_.end(), DhbEntry());
-    for (auto &table : dpt_)
-        std::fill(table.begin(), table.end(), DptEntry());
-    recentLines_.fill(~Addr{0});
-    minAddr_ = ~Addr{0};
-    maxAddr_ = 0;
-    candidateCount_ = 0;
-}
-
-void
 HwPrefetchEngine::emitCandidate(Addr addr, Source source)
 {
     if (candidateCount_ >= kMaxCandidates)

@@ -202,9 +202,6 @@ class HwPrefetchEngine
     const HwPrefetchStats &stats() const { return stats_; }
     void clearStats() { stats_ = HwPrefetchStats(); }
 
-    /** Drop all learned table state (between experiment runs). */
-    void resetState();
-
     const Tuning &tuning() const { return tuning_; }
     void setTuning(const Tuning &t) { tuning_ = t; }
 

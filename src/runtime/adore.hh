@@ -46,11 +46,15 @@ class HwPrefetchController;
  * Where the optimizer poll body runs (DESIGN.md §11).
  *
  *  - Synchronous: inside the Cpu's periodic hook on the main thread —
- *    the original single-threaded runtime.
+ *    the default, and the mode every production run uses.  The
+ *    simulated optimizer cost is charged in virtual cycles either way;
+ *    inline polls avoid the host thread handshake.
  *  - AsyncBarrier: on a real worker thread, but the main thread blocks
  *    at each poll until the worker finishes.  Bit-identical to
- *    Synchronous (the handshake orders every access) while exercising
- *    the full cross-thread queue/handshake machinery — the default.
+ *    Synchronous (the handshake orders every access); kept as the
+ *    deterministic test mode for the cross-thread queue/handshake
+ *    machinery, since its two thread wake-ups per poll are a large
+ *    share of an ADORE run's host time (DESIGN.md §11).
  *  - FreeRunning: the worker runs concurrently with the interpreter;
  *    commits and reverts are applied by the main thread at poll-hook
  *    safe points.  Not bit-identical (commit timing shifts); used by

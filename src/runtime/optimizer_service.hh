@@ -38,11 +38,14 @@
  *     throttle down.
  *
  * Modes (AdoreConfig::mode):
- *  - AsyncBarrier (default): the worker runs the *unchanged* poll body
- *    while the main thread blocks at the poll hook.  The mutex/condvar
- *    handshake orders every access in both directions, so the execution
- *    is bit-identical to Synchronous (tests/test_async_toggle.cc proves
- *    it across the workload registry) and race-free under TSan.
+ *  - AsyncBarrier (test mode): the worker runs the *unchanged* poll
+ *    body while the main thread blocks at the poll hook.  The
+ *    mutex/condvar handshake orders every access in both directions,
+ *    so the execution is bit-identical to Synchronous
+ *    (tests/test_async_toggle.cc proves it across the workload
+ *    registry) and race-free under TSan.  It is the only deterministic
+ *    exercise of this class; production runs use Synchronous, which
+ *    creates no service at all.
  *  - FreeRunning: the worker runs concurrently with the interpreter,
  *    fed by sample batches and per-poll TickMsgs; commits/reverts are
  *    applied by main as described above.  Not bit-identical (commit

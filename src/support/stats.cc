@@ -54,13 +54,4 @@ TimeSeries::downsample(std::size_t buckets) const
     return out;
 }
 
-double
-TimeSeries::maxValue() const
-{
-    double m = 0.0;
-    for (const auto &p : points_)
-        m = std::max(m, p.value);
-    return m;
-}
-
 } // namespace adore

@@ -108,8 +108,6 @@ class TimeSeries
     /** Downsample to at most @p buckets points by bucket-averaging. */
     TimeSeries downsample(std::size_t buckets) const;
 
-    double maxValue() const;
-
   private:
     std::vector<Point> points_;
 };

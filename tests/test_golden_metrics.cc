@@ -55,6 +55,16 @@ constexpr Golden kGolden[] = {
     {"parser", true, 13392808ULL, 33091528ULL, 266373ULL},
 };
 
+// gtest would otherwise print a Golden as a raw byte dump, which starts
+// with the address of `name`.  ASLR moves that address on every run, and
+// gtest_discover_tests copies the printed parameter into each CTest name,
+// so every build registered these tests under different names.  Print the
+// workload and arm instead, which are the same on every build.
+void PrintTo(const Golden &g, std::ostream *os)
+{
+    *os << g.name << (g.adore ? "_adore" : "_base");
+}
+
 class GoldenMetrics : public ::testing::TestWithParam<Golden>
 {
 };

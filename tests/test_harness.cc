@@ -130,6 +130,9 @@ TEST(Experiment, DefaultAdoreConfigMatchesDesign)
     EXPECT_EQ(cfg.uebMultiplier, 16u);
     EXPECT_EQ(cfg.pollPeriod, 64'000u);
     EXPECT_EQ(cfg.maxPrefetchLoadsPerTrace, 3);
+    // Inline polls: the barrier's per-poll thread handshake buys no
+    // simulated difference (DESIGN.md §11).
+    EXPECT_EQ(cfg.mode, OptimizerMode::Synchronous);
 }
 
 TEST(Experiment, CollectProfileFindsHotLoop)

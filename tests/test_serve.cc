@@ -387,6 +387,48 @@ TEST(ServeCancel, RaisedFlagStopsRunEarly)
     EXPECT_LT(m.cycles, 1'000'000u);
 }
 
+// ------------------------------------------------------ ServeRunConfig
+
+TEST(ServeRunConfig, AdoreJobRunsOptimizerInline)
+{
+    setVerbose(false);
+    hir::Program prog = workloads::make("mcf");
+    JobRequest req;
+    req.workload = "mcf";
+    req.adore = true;
+    std::atomic<bool> never{false};
+    RunConfig cfg = buildRunConfig(req, &never, 8'000'000, 65'536);
+    RunMetrics m = Experiment::run(prog, cfg);
+    EXPECT_FALSE(m.optimizerServiceUsed);
+    EXPECT_GT(m.adoreStats.tracesPatched, 0u);  // ADORE did act
+
+    json::Value v;
+    std::string err;
+    ASSERT_TRUE(json::parse(Experiment::metricsJson(m), v, err)) << err;
+    ASSERT_NE(v.find("optimizer.mode"), nullptr);
+    EXPECT_EQ(v.num("optimizer.mode"), 0.0);
+    EXPECT_EQ(v.find("optimizer.queue_enqueued"), nullptr);
+
+    // The same job forced onto the barrier worker simulates the same
+    // machine: every metric outside the optimizer.* service namespace
+    // matches.
+    RunConfig barrierCfg = cfg;
+    barrierCfg.adoreConfig.mode = OptimizerMode::AsyncBarrier;
+    RunMetrics b = Experiment::run(prog, barrierCfg);
+    EXPECT_TRUE(b.optimizerServiceUsed);
+    observe::MetricsRegistry inlineReg, barrierReg;
+    Experiment::collectMetrics(inlineReg, m);
+    Experiment::collectMetrics(barrierReg, b);
+    auto simulated = [](const observe::MetricsRegistry &reg) {
+        std::vector<std::pair<std::string, double>> out;
+        for (const observe::MetricsRegistry::Metric &metric : reg.snapshot())
+            if (metric.name.rfind("optimizer.", 0) != 0)
+                out.emplace_back(metric.name, metric.value);
+        return out;
+    };
+    EXPECT_EQ(simulated(inlineReg), simulated(barrierReg));
+}
+
 // --------------------------------------------------------- ServeDaemon
 
 namespace
